@@ -10,7 +10,11 @@
 // dimension keys to (dimension row, bitmap of queries selecting it);
 // and a distributor with several distributor parts that route joined
 // tuples to the relevant queries' output buffers. New queries are
-// admitted in batches, pausing the pipeline once per batch (§3.2).
+// admitted in batches (§3.2). An admission pauses only the filter chain
+// while it updates the shared hash tables; it never drains the
+// pipeline. A finished query's bit is reused only once no in-flight
+// tuple carries it, and a new bit is zero in every older tuple, which
+// FilterAnd keeps at zero.
 package cjoin
 
 // Bitmap is a variable-width bit set, one bit per admitted query.

@@ -2,6 +2,7 @@ package cjoin
 
 import (
 	"sharedq/internal/pages"
+	"sharedq/internal/vec"
 )
 
 // dimTable is the shared hash table of one filter: dimension key →
@@ -37,29 +38,27 @@ func (d *dimTable) idx(k pages.Value) int {
 	return int(k.Hash() & uint64(len(d.buckets)-1))
 }
 
-// setBit records that the query with the given bit selects row r
-// (keyed by k), inserting the row on first touch.
-func (d *dimTable) setBit(k pages.Value, r pages.Row, bit int) {
-	b := &d.buckets[d.idx(k)]
-	if !b.used {
-		b.key, b.row, b.used = k, r, true
-		b.sel = Bitmap{}.Set(bit)
+// setBit records that the query with the given bit selects row i of
+// dimension batch b, keyed by column keyCol. The row is materialized
+// only when its key is inserted; a key already in the table (selected
+// by an earlier query) just gains the bit.
+func (d *dimTable) setBit(b *vec.Batch, keyCol, i, bit int) {
+	k := b.Value(keyCol, i)
+	e := &d.buckets[d.idx(k)]
+	if e.used {
+		for ; !e.key.Equal(k); e = e.next {
+			if e.next == nil {
+				e.next = &dimBucket{}
+				e = e.next
+				break
+			}
+		}
+	}
+	if !e.used {
+		e.key, e.row, e.used = k, b.Row(i), true
 		d.size++
-		return
 	}
-	for e := b; ; e = e.next {
-		if e.key.Equal(k) {
-			e.sel = e.sel.Set(bit)
-			return
-		}
-		if e.next == nil {
-			nb := &dimBucket{key: k, row: r, used: true}
-			nb.sel = Bitmap{}.Set(bit)
-			e.next = nb
-			d.size++
-			return
-		}
-	}
+	e.sel = e.sel.Set(bit)
 }
 
 // clearBit removes a completed query's bit from every entry. Entries

@@ -98,17 +98,24 @@ type query struct {
 	open      []bool
 	openParts int
 
-	outstanding atomic.Int64 // batches in flight carrying this query's bit
-	done        atomic.Bool  // preprocessor completed the circular window
-	closed      atomic.Bool
+	// outstanding counts the batches in flight carrying this query's
+	// bit; only scanners increment it, under stage.mu, while the window
+	// is open. Once done is set it only falls, so done with outstanding
+	// at zero is final: no tuple anywhere carries the bit, and the query
+	// settles (drained closes, then the output port).
+	outstanding atomic.Int64
+	done        atomic.Bool // circular window closed (completed or retracted)
+	settled     atomic.Bool
+	drained     chan struct{}
 	cancelled   atomic.Bool // admission window retracted before completion
 
 	// Straggler detachment (Config.StragglerLagPages): straggled flips
 	// when the distributor cannot deliver to this query's output even
-	// with elastic growth; detached claims the one-shot window
-	// retraction + private continuation; missed records the fact pages
-	// skipped between the two (plus the refused page itself), which the
-	// continuation re-derives.
+	// with elastic growth, and hands the output port to the private
+	// continuation; detached claims the one-shot window retraction +
+	// continuation; missed records the fact pages skipped between the
+	// two (plus the refused page itself), which the continuation
+	// re-derives.
 	straggled atomic.Bool
 	detached  atomic.Bool
 	missMu    sync.Mutex
@@ -178,7 +185,7 @@ type Stage struct {
 	hosts     map[string]*query // SP registry (step WoP)
 	nextBit   int
 	freeBit   []int
-	dirtyBit  []int // freed bits not yet cleared from the filters
+	retiring  []*query // finished queries whose bits are not yet freed
 	parts     []scanPart
 	maxParts  int      // live-splitting bound on len(parts)
 	admitDone []*query // completed at admission (no pages to show)
@@ -187,8 +194,6 @@ type Stage struct {
 	maxLag int // Config.StragglerLagPages
 	//sharedq:counters robust
 	robust *metrics.CounterSet // straggler/split counters (may be nil)
-
-	inflight atomic.Int64 // batches emitted but not yet fully distributed
 
 	filterMu sync.RWMutex
 	filters  []*filter
@@ -444,6 +449,7 @@ func (st *Stage) SubmitStreamCtx(ctx context.Context, q *plan.Query, emit exec.R
 			sig:      sig,
 			factVec:  expr.CompileVecPred(q.FactPred),
 			outKinds: vec.Kinds(q.JoinedSchema),
+			drained:  make(chan struct{}),
 		}
 		qq.myIn = qq.out.AddReader(true)
 		st.pending = append(st.pending, qq)
@@ -517,10 +523,10 @@ func drainStreamContained(env *exec.Env, q *plan.Query, in qpipe.InPort, emit ex
 // pending queries simply leave the queue; admitted ones close their
 // remaining per-partition admission windows (clearing their bit from
 // the partition masks so scanners stop emitting on their behalf) and
-// queue their filter bit for retirement at the next admission pause.
-// Batches already in flight still carry the bit; the distributor skips
-// assembling output for a cancelled query and its outstanding count
-// drains as usual, closing the output port.
+// queue their filter bit for retirement. Batches already in flight
+// still carry the bit; the distributor skips assembling output for a
+// cancelled query and its outstanding count drains as usual, settling
+// it — and only then may an admission reuse the bit.
 func (st *Stage) retract(qq *query) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -532,7 +538,7 @@ func (st *Stage) retract(qq *query) {
 				delete(st.hosts, qq.sig)
 			}
 			qq.done.Store(true)
-			st.closeQuery(qq)
+			st.settle(qq)
 			st.stats.Get("cjoin_retracted").Inc()
 			return
 		}
@@ -550,11 +556,11 @@ func (st *Stage) retract(qq *query) {
 				}
 			}
 			qq.openParts = 0
-			st.dirtyBit = append(st.dirtyBit, qq.bit)
+			st.retiring = append(st.retiring, qq)
 			st.active = append(st.active[:i], st.active[i+1:]...)
 			qq.done.Store(true)
 			if qq.outstanding.Load() == 0 {
-				st.closeQuery(qq)
+				st.settle(qq)
 			}
 			st.stats.Get("cjoin_retracted").Inc()
 			// Scanners idling on this query's windows re-check their
@@ -600,7 +606,7 @@ func (st *Stage) scanner(pi int) {
 				qq.openParts--
 				p.mask.Clear(qq.bit)
 				if qq.openParts == 0 {
-					st.dirtyBit = append(st.dirtyBit, qq.bit)
+					st.retiring = append(st.retiring, qq)
 					st.active = append(st.active[:i], st.active[i+1:]...)
 					qq.done.Store(true)
 					completed = append(completed, qq)
@@ -653,7 +659,6 @@ func (st *Stage) scanner(pi int) {
 			qq.seen[pi]++
 			qq.outstanding.Add(1)
 		}
-		st.inflight.Add(1)
 		st.mu.Unlock()
 		if wrapped {
 			if h, ok := st.passFn.Load().(passHook); ok && h.fn != nil {
@@ -666,18 +671,6 @@ func (st *Stage) scanner(pi int) {
 		if err != nil {
 			st.fail(err)
 			st.mu.Lock()
-			// The failed batch never ships: undo its outstanding claims,
-			// or the open queries' output ports would never close and
-			// their Submits would block forever. A query retracted since
-			// the claim was taken is already done and out of st.active —
-			// the sweep below won't see it, so the last claim dropped
-			// here must close its port (mirroring distributorPart), or
-			// an attached SP satellite drains it forever.
-			for _, qq := range open {
-				if qq.outstanding.Add(-1) == 0 && qq.done.Load() {
-					completed = append(completed, qq)
-				}
-			}
 			for _, qq := range st.active {
 				for j := range qq.open {
 					if qq.open[j] {
@@ -686,13 +679,22 @@ func (st *Stage) scanner(pi int) {
 					}
 				}
 				qq.openParts = 0
-				st.dirtyBit = append(st.dirtyBit, qq.bit)
+				st.retiring = append(st.retiring, qq)
 				qq.done.Store(true)
 				completed = append(completed, qq)
 			}
 			st.active = nil
-			st.inflight.Add(-1)
 			st.mu.Unlock()
+			// The failed batch never ships: undo its outstanding claims,
+			// or the open queries' output ports would never close and
+			// their Submits would block forever. A query retracted since
+			// the claim was taken is already done and out of st.active —
+			// the sweep above won't see it, so the last claim dropped
+			// here must settle it (mirroring distributorPart), or an
+			// attached SP satellite drains it forever.
+			for _, qq := range open {
+				st.release(qq)
+			}
 			st.finishQueries(completed)
 			continue
 		}
@@ -827,28 +829,52 @@ func (qq *query) recordMiss(idx int) {
 	qq.missMu.Unlock()
 }
 
-// finishQueries closes the outputs of completed queries that have no
-// batches in flight; distributor parts close the rest as their last
-// batches drain.
+// finishQueries settles completed queries that have no batches in
+// flight; the releases of their last batches settle the rest.
 func (st *Stage) finishQueries(qs []*query) {
 	for _, qq := range qs {
 		if qq.outstanding.Load() == 0 {
-			st.closeQuery(qq)
+			st.settle(qq)
 		}
 	}
 }
 
-func (st *Stage) closeQuery(qq *query) {
-	if qq.closed.CompareAndSwap(false, true) {
+// release drops one in-flight batch claim on qq; the claim that takes
+// a done query to zero settles it.
+func (st *Stage) release(qq *query) {
+	if qq.outstanding.Add(-1) == 0 && qq.done.Load() {
+		st.settle(qq)
+	}
+}
+
+// settle runs once per query, when it is done and its last in-flight
+// batch has drained: it wakes a detached straggler's continuation and
+// closes the output port — unless the query straggled, in which case
+// the continuation owns the port and closes it. Whoever sets done and
+// whoever drops the last claim may both get here; the flag elects one.
+func (st *Stage) settle(qq *query) {
+	if !qq.settled.CompareAndSwap(false, true) {
+		return
+	}
+	close(qq.drained)
+	if !qq.straggled.Load() {
 		qq.out.Close()
 	}
 }
 
-// admit performs the batched admission phase (§3.2): assign bits, add
-// or update filters by scanning the referenced dimension tables, and
-// record each query's entry point on the circular fact scan.
-// Caller holds st.mu; the filter chain is locked for writing, which
-// drains in-flight probes — the pipeline pause.
+// admit performs the batched admission phase (§3.2): retire the bits
+// of finished queries, assign bits, add or update filters by scanning
+// the referenced dimension tables, and record each query's entry point
+// on the circular fact scan. Caller holds st.mu.
+//
+// Admission does not drain the pipeline. A finished query's bit is
+// freed only once its outstanding count is zero — no tuple in flight
+// carries it — and until then stays reserved for a later admission. A
+// freshly assigned bit is zero in every tuple emitted before it, and
+// FilterAnd (b &= sel | ^ref) keeps a zero bit at zero, so batches
+// already in flight pass unharmed through the filters mutated here.
+// The only wait is for the filter write lock: the probes running at
+// that moment finish, the rest of the pipeline keeps moving.
 func (st *Stage) admit(qs []*query) {
 	t0 := time.Now()
 	defer func() {
@@ -858,26 +884,25 @@ func (st *Stage) admit(qs []*query) {
 	}()
 	st.stats.Get("cjoin_batches").Inc()
 
-	// Pause the pipeline: wait until every emitted batch has fully
-	// drained through the distributor, so filter mutation and bit reuse
-	// cannot corrupt in-flight tuples. This stall is admission cost (e).
-	for st.inflight.Load() > 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-
 	st.filterMu.Lock()
 	defer st.filterMu.Unlock()
 
-	// Retire freed bits: clear them from every filter so they can be
+	// Retire drained bits: clear them from every filter so they can be
 	// reassigned without leaking the old query's selections.
-	for _, bit := range st.dirtyBit {
-		for _, f := range st.filters {
-			f.ref.Clear(bit)
-			f.ht.clearBit(bit)
+	keep := st.retiring[:0]
+	for _, qq := range st.retiring {
+		if qq.outstanding.Load() > 0 {
+			keep = append(keep, qq)
+			continue
 		}
-		st.freeBit = append(st.freeBit, bit)
+		for _, f := range st.filters {
+			f.ref.Clear(qq.bit)
+			f.ht.clearBit(qq.bit)
+		}
+		st.freeBit = append(st.freeBit, qq.bit)
 	}
-	st.dirtyBit = nil
+	clear(st.retiring[len(keep):])
+	st.retiring = keep
 
 	for _, qq := range qs {
 		if len(st.freeBit) > 0 {
@@ -919,7 +944,7 @@ func (st *Stage) admit(qs []*query) {
 		if qq.openParts == 0 {
 			// No partition has pages to show (empty fact table): the
 			// window is trivially complete at admission.
-			st.dirtyBit = append(st.dirtyBit, qq.bit)
+			st.retiring = append(st.retiring, qq)
 			qq.done.Store(true)
 			st.admitDone = append(st.admitDone, qq)
 		} else {
@@ -973,7 +998,7 @@ func (st *Stage) updateFilter(f *filter, d plan.DimJoin, bit int) (err error) {
 			sel = vpred(b, sel)
 		}
 		for _, i := range sel {
-			f.ht.setBit(b.Value(f.dimKeyIdx, i), b.Row(i), bit)
+			f.ht.setBit(b, f.dimKeyIdx, i, bit)
 		}
 		return nil
 	})
@@ -989,8 +1014,8 @@ func (st *Stage) pipelineWorker() {
 			// A panic mid-chain leaves the batch's bitmaps half-filtered:
 			// kill every surviving tuple so no wrong rows ship, record
 			// the failure, and still forward the batch — the distributor
-			// must drain it to keep the outstanding/inflight protocol
-			// (and with it admission pauses and query completion) alive.
+			// must drain it to release its outstanding claims (and with
+			// them query completion and bit retirement).
 			st.fail(err)
 			for i := range b.bms {
 				b.bms[i] = nil
@@ -1083,22 +1108,13 @@ func (st *Stage) distributorPart() {
 			}
 		}
 		for _, qq := range b.queries {
-			if qq.outstanding.Add(-1) == 0 && qq.done.Load() {
-				st.closeQuery(qq)
-			}
+			st.release(qq)
 		}
-		st.inflight.Add(-1)
-		// Retraction takes the stage lock, which an admission pause may
-		// be holding while it waits for inflight to drain — so it must
-		// come after this batch's claims are returned, or the two
-		// deadlock (admission waiting on this batch, this part waiting
-		// on admission).
 		for _, qq := range failed {
 			st.retract(qq)
 		}
-		// Straggler detachment also takes the stage lock, so it too must
-		// wait until the batch's claims are settled. The CAS elects
-		// exactly one part to perform the retract-and-continue handoff.
+		// The CAS elects exactly one part to perform the straggler's
+		// retract-and-continue handoff.
 		for _, qq := range b.queries {
 			if qq.straggled.Load() && qq.detached.CompareAndSwap(false, true) {
 				st.detachStraggler(qq)
@@ -1152,7 +1168,7 @@ func (st *Stage) detachStraggler(qq *query) {
 			p.mask.Clear(qq.bit)
 		}
 		qq.openParts = 0
-		st.dirtyBit = append(st.dirtyBit, qq.bit)
+		st.retiring = append(st.retiring, qq)
 		st.active = append(st.active[:i], st.active[i+1:]...)
 		qq.done.Store(true)
 		// Scanners idling on this query's windows re-check their open sets.
@@ -1162,32 +1178,34 @@ func (st *Stage) detachStraggler(qq *query) {
 	st.stats.Get("cjoin_straggler_detached").Inc()
 	st.robustInc("straggler_detached")
 	st.mu.Unlock()
+	if qq.outstanding.Load() == 0 {
+		// No claim left to release: this is the settling point.
+		st.settle(qq)
+	}
 	st.wg.Add(1)
 	go st.continueDetached(qq, rem)
 }
 
 // continueDetached is a detached straggler's private continuation: it
-// waits for the shared pipeline's last claims on the query to settle
-// (which completes the missed-page list), then re-derives every
-// undelivered fact page — the recorded misses plus the remaining spans
-// of the retracted windows — through private hash joins, emitting into
-// the same output port the shared plan was feeding. The consumer
-// observes one uninterrupted result stream with the same rows it would
-// have received; only the producer changed underneath it. Blocking on
-// the slow consumer's full port stalls only this goroutine.
+// waits for the query to settle (the shared pipeline's last claim on it
+// released, which completes the missed-page list), then re-derives
+// every undelivered fact page — the recorded misses plus the remaining
+// spans of the retracted windows — through private hash joins,
+// emitting into the same output port the shared plan was feeding. The
+// consumer observes one uninterrupted result stream with the same rows
+// it would have received; only the producer changed underneath it.
+// Blocking on the slow consumer's full port stalls only this goroutine.
 func (st *Stage) continueDetached(qq *query, rem [][2]int) {
 	defer st.wg.Done()
-	// closed was pre-claimed at refusal, so every closeQuery attempt
-	// no-ops: this defer is the port's sole closer.
+	// settle leaves a straggled query's port open: this defer is its
+	// sole closer.
 	defer qq.out.Close()
 	defer func() {
 		if r := recover(); r != nil {
 			qq.fail(exec.RecoverPanic(st.env, r))
 		}
 	}()
-	for qq.outstanding.Load() > 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	<-qq.drained
 	qq.missMu.Lock()
 	missed := qq.missed
 	qq.missed = nil
@@ -1271,10 +1289,10 @@ func (st *Stage) continueDetached(qq *query, rem [][2]int) {
 
 // deliverContained is deliver under panic containment: a panicking
 // kernel (the query's own fact predicate, typically) fails exactly that
-// query — the caller retracts it once the batch's claims are settled,
+// query — the caller retracts it once the batch's claims are released,
 // closing its window, retiring its bit and ending its output port —
 // while the batch's other queries receive their tuples normally and
-// the outstanding/inflight protocol stays intact.
+// the outstanding protocol stays intact.
 func (st *Stage) deliverContained(b *batch, qq *query, sel []int) (out []int, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1356,12 +1374,10 @@ func (st *Stage) deliver(b *batch, qq *query, sel []int) []int {
 				// The query's consumer is maxLag pages behind even after
 				// elastic growth: a straggler. Refusal keeps page ownership
 				// here — drop the batch, mark the query for detachment, and
-				// record the page for private re-derivation. closed is
-				// pre-claimed under the batch's outstanding claim so the
-				// normal completion path cannot close the output port out
-				// from under the continuation.
+				// record the page for private re-derivation. straggled is
+				// set under the batch's outstanding claim, so settle sees
+				// it and leaves the output port to the continuation.
 				out.Release()
-				qq.closed.Store(true)
 				qq.straggled.Store(true)
 				qq.recordMiss(b.idx)
 			}

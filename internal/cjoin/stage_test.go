@@ -17,6 +17,7 @@ import (
 	"sharedq/internal/plan"
 	"sharedq/internal/qpipe"
 	"sharedq/internal/ssb"
+	"sharedq/internal/vec"
 )
 
 func testEnv(t *testing.T) *exec.Env {
@@ -43,10 +44,13 @@ func newStage(t *testing.T, env *exec.Env, sp bool) *Stage {
 
 func TestDimTableBasics(t *testing.T) {
 	d := newDimTable(2)
-	r1 := pages.Row{pages.Int(1), pages.Str("x")}
-	d.setBit(pages.Int(1), r1, 0)
-	d.setBit(pages.Int(1), r1, 5)
-	d.setBit(pages.Int(2), pages.Row{pages.Int(2)}, 1)
+	b := vec.FromRows([]pages.Row{
+		{pages.Int(1), pages.Str("x")},
+		{pages.Int(2), pages.Str("y")},
+	})
+	d.setBit(b, 0, 0, 0)
+	d.setBit(b, 0, 0, 5)
+	d.setBit(b, 0, 1, 1)
 	row, sel := d.lookup(pages.Int(1))
 	if row == nil || !sel.Test(0) || !sel.Test(5) || sel.Test(1) {
 		t.Errorf("lookup(1) = %v, %v", row, sel)
@@ -62,12 +66,28 @@ func TestDimTableBasics(t *testing.T) {
 	if sel.Test(5) || !sel.Test(0) {
 		t.Errorf("clearBit: %v", sel)
 	}
+	// A key already present only gains the bit: its row is the one
+	// materialized at insert, not the later batch's.
+	b2 := vec.FromRows([]pages.Row{{pages.Int(1), pages.Str("z")}})
+	d.setBit(b2, 0, 0, 7)
+	row, sel = d.lookup(pages.Int(1))
+	if row[1].S != "x" || !sel.Test(7) || !sel.Test(0) {
+		t.Errorf("setBit on existing key: row %v sel %v", row, sel)
+	}
+	if d.keys() != 2 {
+		t.Errorf("keys after re-select = %d", d.keys())
+	}
 }
 
 func TestDimTableCollisionChains(t *testing.T) {
 	d := newDimTable(1)
-	for i := 0; i < 500; i++ {
-		d.setBit(pages.Int(int64(i)), pages.Row{pages.Int(int64(i))}, i%64)
+	rows := make([]pages.Row, 500)
+	for i := range rows {
+		rows[i] = pages.Row{pages.Int(int64(i))}
+	}
+	b := vec.FromRows(rows)
+	for i := range rows {
+		d.setBit(b, 0, i, i%64)
 	}
 	if d.keys() != 500 {
 		t.Fatalf("keys = %d", d.keys())
@@ -76,6 +96,9 @@ func TestDimTableCollisionChains(t *testing.T) {
 		row, sel := d.lookup(pages.Int(int64(i)))
 		if row == nil || !sel.Test(i%64) {
 			t.Fatalf("lookup(%d) = %v, %v", i, row, sel)
+		}
+		if row, sel = d.lookupInt(int64(i)); row == nil || !sel.Test(i%64) {
+			t.Fatalf("lookupInt(%d) = %v, %v", i, row, sel)
 		}
 	}
 }

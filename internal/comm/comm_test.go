@@ -646,3 +646,39 @@ func TestFIFOClosed(t *testing.T) {
 		t.Error("Closed() false after Close")
 	}
 }
+
+// TestFIFOStraggleBlocked pins StraggleBlocked's one-shot contract: it
+// detaches the consumer only while a producer waits in Put on the full
+// buffer, that Put returns false (the page never lands), and the
+// consumer resumes at the refused page after draining what it holds.
+func TestFIFOStraggleBlocked(t *testing.T) {
+	f := NewFIFO(1)
+	if f.StraggleBlocked(0) {
+		t.Fatal("StraggleBlocked detached with no producer blocked")
+	}
+	f.Put(&Page{Index: 4})
+	put := make(chan bool, 1)
+	go func() { put <- f.Put(&Page{Index: 5}) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for !f.StraggleBlocked(2) {
+		if time.Now().After(deadline) {
+			t.Fatal("StraggleBlocked never saw the producer blocked in Put")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if ok := <-put; ok {
+		t.Error("the blocked Put landed its page after the detach")
+	}
+	if p, ok := f.Get(); !ok || p.Index != 4 {
+		t.Errorf("buffered page lost: %v %v", p, ok)
+	}
+	if _, ok := f.Get(); ok {
+		t.Error("stream continued past the detach")
+	}
+	if resume, entry, ok := f.Straggled(); !ok || resume != 5 || entry != 2 {
+		t.Errorf("Straggled = %d, %d, %v; want 5, 2, true", resume, entry, ok)
+	}
+	if f.StraggleBlocked(2) {
+		t.Error("StraggleBlocked detached a closed FIFO")
+	}
+}

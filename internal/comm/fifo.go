@@ -22,6 +22,10 @@ type FIFO struct {
 	straggled bool
 	resumeIdx int
 	entryIdx  int
+
+	// blocked is the page a producer is blocked putting into the full
+	// buffer, nil otherwise (StraggleBlocked).
+	blocked *Page
 }
 
 // DefaultFIFOPages bounds a FIFO at 8 pages (the paper uses a 256 KB
@@ -48,8 +52,10 @@ func (f *FIFO) Put(p *Page) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for len(f.buf) >= f.cap && !f.closed {
+		f.blocked = p
 		f.nf.Wait()
 	}
+	f.blocked = nil
 	if f.closed {
 		return false
 	}
@@ -99,12 +105,31 @@ func (f *FIFO) PutGrow(p *Page, extra int) bool {
 func (f *FIFO) CloseStraggled(resume, entry int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.straggleLocked(resume, entry)
+}
+
+func (f *FIFO) straggleLocked(resume, entry int) {
 	f.straggled = true
 	f.resumeIdx = resume
 	f.entryIdx = entry
 	f.closed = true
 	f.ne.Broadcast()
 	f.nf.Broadcast()
+}
+
+// StraggleBlocked is CloseStraggled for a consumer the producer is
+// blocked on: only while a Put waits on the full buffer does it close
+// the stream, with the page that Put holds as the resume point — that
+// page is never delivered, so the consumer re-derives it. Reports
+// whether it detached; a Put that already landed makes it a no-op.
+func (f *FIFO) StraggleBlocked(entry int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed || f.blocked == nil {
+		return false
+	}
+	f.straggleLocked(f.blocked.Index, entry)
+	return true
 }
 
 // Straggled reports whether the producer force-detached this consumer,

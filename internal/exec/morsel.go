@@ -123,13 +123,12 @@ func (c *pageClaim) remaining() int {
 }
 
 // stealInto refills claims[w] from the largest sibling claim,
-// returning false when every claim is dry or the query is stopping.
-// Each successful steal is one morsel_steals increment. The stop check
-// inside the rescan loop is load-bearing: a worker that exits early
-// (cancellation, error, panic) sets stop and may orphan a claim, and a
-// single-page orphan is permanently visible to remaining() yet refused
-// by stealHalf — without the check every surviving worker would spin
-// here forever and the query's WaitGroup would never drain.
+// returning false when no claim holds two or more pages or the query
+// is stopping. Each successful steal is one morsel_steals increment. A
+// single-page remainder is never worth waiting for: its owner drains it
+// within one take, or stop is set — so the thief exits instead of
+// rescanning while the owner finishes (a rescan loop there starves the
+// owners of CPU when queries outnumber cores).
 func stealInto(env *Env, claims []pageClaim, w int, stop *atomic.Bool) bool {
 	for {
 		if stop.Load() {
@@ -144,7 +143,7 @@ func stealInto(env *Env, claims []pageClaim, w int, stop *atomic.Bool) bool {
 				victim, best = i, n
 			}
 		}
-		if victim < 0 {
+		if best < 2 {
 			return false
 		}
 		if lo, hi, ok := claims[victim].stealHalf(); ok {
@@ -154,9 +153,8 @@ func stealInto(env *Env, claims []pageClaim, w int, stop *atomic.Bool) bool {
 			}
 			return true
 		}
-		// Lost the race (the victim drained or was stolen from first),
-		// or only a single-page remainder exists — its owner, if alive,
-		// drains it within one take; rescan.
+		// Lost the race: the victim drained or was stolen from first.
+		// Rescan.
 	}
 }
 

@@ -79,8 +79,8 @@ func TestStealIntoRefillsFromLargestVictim(t *testing.T) {
 // TestStealIntoStopsOnOrphanedPage is the livelock regression: a worker
 // exiting early (cancellation, error, panic) sets stop but may leave a
 // single-page claim behind. That orphan is visible to victim selection
-// yet refused by stealHalf forever, so without the stop check the
-// rescan loop spins indefinitely.
+// yet refused by stealHalf forever, so the thief must return rather
+// than rescan.
 func TestStealIntoStopsOnOrphanedPage(t *testing.T) {
 	env := &Env{}
 	claims := make([]pageClaim, 2)
@@ -98,6 +98,45 @@ func TestStealIntoStopsOnOrphanedPage(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stealInto livelocked on an orphaned single-page claim")
+	}
+}
+
+// TestStealIntoLeavesSinglePageToLiveOwner is the steal-spin regression:
+// with stop unset and the only non-empty sibling claim a single page,
+// the thief must return at once instead of rescanning until the owner
+// drains it. Rescanning there busy-spins the thief against the owners
+// it waits for; with more queries than cores the spinners starved the
+// owners and BenchmarkModes/Baseline-2 ran ~20× slower than Baseline.
+// The owner here never takes its page, so a spinning thief never
+// returns and the deadline below fires.
+func TestStealIntoLeavesSinglePageToLiveOwner(t *testing.T) {
+	env := &Env{}
+	claims := make([]pageClaim, 3)
+	claims[1].r.Store(packClaim(7, 8)) // live owner's last page
+	var stop atomic.Bool
+
+	done := make(chan bool, 1)
+	go func() { done <- stealInto(env, claims, 0, &stop) }()
+	select {
+	case got := <-done:
+		if got {
+			t.Fatal("stealInto stole a single-page remainder")
+		}
+	case <-time.After(5 * time.Second):
+		stop.Store(true) // let the spinning thief exit before failing
+		<-done
+		t.Fatal("stealInto spun on a single page held by a live owner")
+	}
+	if lo, hi := claimRange(&claims[1]); lo != 7 || hi != 8 {
+		t.Fatalf("owner left with [%d,%d), want [7,8)", lo, hi)
+	}
+	// Two pages are still worth a steal: the thief takes the back one.
+	claims[1].r.Store(packClaim(7, 9))
+	if !stealInto(env, claims, 0, &stop) {
+		t.Fatal("stealInto refused a two-page remainder")
+	}
+	if lo, hi := claimRange(&claims[0]); lo != 8 || hi != 9 {
+		t.Fatalf("thief got [%d,%d), want [8,9)", lo, hi)
 	}
 }
 

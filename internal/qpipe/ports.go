@@ -220,6 +220,25 @@ func (fo *fanout) AddReader(fromStart bool) InPort {
 		s.f.Close()
 		s.done = true
 	}
+	if fo.maxLag > 0 && !fo.closed {
+		// The straggler policy runs per Emit, but an Emit blocked on a
+		// lagging reader's full FIFO runs no policy until that reader
+		// reads again: a reader attaching now would wait out the
+		// laggard. Against the new, empty reader the blocked one lags
+		// by at least cap+maxLag pages, so detach it here, resuming at
+		// the page the blocked Put holds. (A reader attaching in the
+		// instant between an Emit's bookkeeping and its Put blocking
+		// still waits for the laggard, as before, unless another
+		// reader attaches.)
+		for _, o := range fo.subs {
+			if !o.done && o.entry >= 0 && o.f.StraggleBlocked(o.entry) {
+				o.done = true
+				if fo.straggled != nil {
+					fo.straggled()
+				}
+			}
+		}
+	}
 	fo.subs = append(fo.subs, s)
 	return &fifoIn{f: s.f}
 }

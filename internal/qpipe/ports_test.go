@@ -3,6 +3,7 @@ package qpipe
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"sharedq/internal/comm"
 	"sharedq/internal/metrics"
@@ -201,4 +202,63 @@ func TestFanoutActiveReaders(t *testing.T) {
 	if got := out.ActiveReaders(); got != 1 {
 		t.Errorf("ActiveReaders after cancel = %d", got)
 	}
+}
+
+// TestFanoutAttachDetachesBlockedLaggard is the convoy-hostage
+// regression for push ports: with the straggler policy on, the producer
+// blocks delivering to a lone reader that stopped reading, and the
+// policy, which runs per Emit, cannot run again. A reader attaching
+// then must not wait out the laggard: the attach force-detaches it,
+// resuming at the page the blocked Emit held, and the producer moves
+// on. (A reader attaching just before the producer blocks is caught
+// by the next Emit's policy instead; either way the laggard resumes at
+// page 3. The test attaches readers until the detach lands.)
+func TestFanoutAttachDetachesBlockedLaggard(t *testing.T) {
+	pc := PortConfig{Model: CommFIFO, FIFOCap: 1, MaxLag: 2, Col: &metrics.Collector{}}
+	out := pc.NewOutPort()
+	slow := out.AddReader(false).(*fifoIn)
+	produced := make(chan struct{})
+	go func() {
+		// Pages 0-2 fill the laggard's FIFO to cap+MaxLag; page 3 blocks.
+		for i := 0; i < 4; i++ {
+			out.Emit(page(int64(i), i))
+		}
+		out.Close()
+		close(produced)
+	}()
+	// Late readers keep reading, so only the laggard ever lags. The
+	// first attaches once the laggard's FIFO is full: the producer is
+	// then at page 3, blocked or about to block on it.
+	var late sync.WaitGroup
+	deadline := time.Now().Add(10 * time.Second)
+	for slow.f.Len() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("producer never filled the laggard's FIFO")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for {
+		if _, _, ok := slow.Straggled(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("attaching readers never detached the blocked laggard")
+		}
+		in := out.AddReader(false)
+		late.Add(1)
+		go func() { defer late.Done(); drain(in) }()
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-produced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("producer still blocked on the detached laggard")
+	}
+	if got := drain(slow); len(got) != 3 || got[0] != 0 || got[2] != 2 {
+		t.Errorf("laggard kept %v, want its buffered pages [0 1 2]", got)
+	}
+	if resume, entry, _ := slow.Straggled(); resume != 3 || entry != 0 {
+		t.Errorf("laggard resumes at [%d, %d), want [3, 0): the refused page onward", resume, entry)
+	}
+	late.Wait()
 }
