@@ -19,8 +19,8 @@
 //     server; they get told when to come back.
 //
 //   - Pass-aligned admission batching. In the CJOIN modes, admitting a
-//     query costs a pipeline stall (§3.1 of the paper); admitting k
-//     queries in one pause costs one stall. The controller therefore
+//     query pauses the filter chain (the paper's pipeline stall, §3.1);
+//     admitting k queries in one pause costs one pause. The controller therefore
 //     holds ready waiters briefly and releases them as a batch when a
 //     circular-scan pass boundary fires (core.Engine.OnCircularPass) —
 //     the moment admission windows naturally open — falling back to a

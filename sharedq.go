@@ -98,7 +98,7 @@
 // the engine's observed service times and the GQPCost.Marginal cost
 // model), and — in the CJOIN modes — admission batching aligned to
 // circular-scan pass boundaries, amortizing the per-admission
-// pipeline stall the paper describes in §3.1. A shed query never
+// filter-chain pause (the pipeline stall of the paper's §3.1). A shed query never
 // starts; it fails with *ErrRetryAfter (which matches ErrOverloaded
 // under errors.Is) carrying a concrete resubmission delay.
 //
