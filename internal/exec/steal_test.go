@@ -76,67 +76,58 @@ func TestStealIntoRefillsFromLargestVictim(t *testing.T) {
 	}
 }
 
-// TestStealIntoStopsOnOrphanedPage is the livelock regression: a worker
-// exiting early (cancellation, error, panic) sets stop but may leave a
-// single-page claim behind. That orphan is visible to victim selection
-// yet refused by stealHalf forever, so the thief must return rather
-// than rescan.
+// TestStealIntoStopsOnOrphanedPage covers the two ways a thief must
+// return without rescanning. The livelock regression: a worker exiting
+// early (cancellation, error, panic) sets stop but may leave a
+// single-page claim behind, which victim selection sees yet stealHalf
+// refuses forever. The steal-spin regression: with stop unset, a
+// single page held by a live owner is drained within the owner's next
+// take, so rescanning for it only busy-spins the thief against the
+// owners it waits for (with more queries than cores the spinners
+// starved the owners and BenchmarkModes/Baseline-2 ran ~20x slower
+// than Baseline). The owner here never takes its page, so a thief
+// that rescans never returns and the deadline fires. Two pages are
+// still worth a steal, unless the query is stopping.
 func TestStealIntoStopsOnOrphanedPage(t *testing.T) {
-	env := &Env{}
-	claims := make([]pageClaim, 2)
-	claims[0].r.Store(packClaim(0, 0)) // thief, dry
-	claims[1].r.Store(packClaim(7, 8)) // orphaned single page, owner gone
-	var stop atomic.Bool
-	stop.Store(true)
+	for _, tc := range []struct {
+		name    string
+		hi      int  // the sibling claim is [7, hi)
+		stop    bool // query stopping
+		want    bool
+		thief   [2]int // claims[0] afterwards
+		sibling [2]int // claims[1] afterwards
+	}{
+		{"orphaned page, stopping", 8, true, false, [2]int{0, 0}, [2]int{7, 8}},
+		{"live owner's last page", 8, false, false, [2]int{0, 0}, [2]int{7, 8}},
+		{"two pages, stopping", 9, true, false, [2]int{0, 0}, [2]int{7, 9}},
+		{"two pages", 9, false, true, [2]int{8, 9}, [2]int{7, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &Env{}
+			claims := make([]pageClaim, 2)
+			claims[0].r.Store(packClaim(0, 0)) // thief, dry
+			claims[1].r.Store(packClaim(7, tc.hi))
+			var stop atomic.Bool
+			stop.Store(tc.stop)
 
-	done := make(chan bool, 1)
-	go func() { done <- stealInto(env, claims, 0, &stop) }()
-	select {
-	case got := <-done:
-		if got {
-			t.Fatal("stealInto reported a steal while stopping")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stealInto livelocked on an orphaned single-page claim")
-	}
-}
-
-// TestStealIntoLeavesSinglePageToLiveOwner is the steal-spin regression:
-// with stop unset and the only non-empty sibling claim a single page,
-// the thief must return at once instead of rescanning until the owner
-// drains it. Rescanning there busy-spins the thief against the owners
-// it waits for; with more queries than cores the spinners starved the
-// owners and BenchmarkModes/Baseline-2 ran ~20× slower than Baseline.
-// The owner here never takes its page, so a spinning thief never
-// returns and the deadline below fires.
-func TestStealIntoLeavesSinglePageToLiveOwner(t *testing.T) {
-	env := &Env{}
-	claims := make([]pageClaim, 3)
-	claims[1].r.Store(packClaim(7, 8)) // live owner's last page
-	var stop atomic.Bool
-
-	done := make(chan bool, 1)
-	go func() { done <- stealInto(env, claims, 0, &stop) }()
-	select {
-	case got := <-done:
-		if got {
-			t.Fatal("stealInto stole a single-page remainder")
-		}
-	case <-time.After(5 * time.Second):
-		stop.Store(true) // let the spinning thief exit before failing
-		<-done
-		t.Fatal("stealInto spun on a single page held by a live owner")
-	}
-	if lo, hi := claimRange(&claims[1]); lo != 7 || hi != 8 {
-		t.Fatalf("owner left with [%d,%d), want [7,8)", lo, hi)
-	}
-	// Two pages are still worth a steal: the thief takes the back one.
-	claims[1].r.Store(packClaim(7, 9))
-	if !stealInto(env, claims, 0, &stop) {
-		t.Fatal("stealInto refused a two-page remainder")
-	}
-	if lo, hi := claimRange(&claims[0]); lo != 8 || hi != 9 {
-		t.Fatalf("thief got [%d,%d), want [8,9)", lo, hi)
+			done := make(chan bool, 1)
+			go func() { done <- stealInto(env, claims, 0, &stop) }()
+			select {
+			case got := <-done:
+				if got != tc.want {
+					t.Fatalf("stealInto = %v, want %v", got, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				stop.Store(true) // let the spinning thief exit before failing
+				<-done
+				t.Fatal("stealInto rescanned instead of returning")
+			}
+			for i, want := range [][2]int{tc.thief, tc.sibling} {
+				if lo, hi := claimRange(&claims[i]); lo != want[0] || hi != want[1] {
+					t.Fatalf("claims[%d] = [%d,%d), want [%d,%d)", i, lo, hi, want[0], want[1])
+				}
+			}
+		})
 	}
 }
 
