@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -420,7 +421,8 @@ func (st *Stage) SubmitStreamCtx(ctx context.Context, q *plan.Query, emit exec.R
 					h.wopMu.Unlock()
 					st.mu.Unlock()
 					stopWatch := context.AfterFunc(ctx, in.Abort)
-					rows, derr := drainContained(st.env, q, in)
+					var rows []pages.Row
+					derr := qpipe.DrainStream(st.env, q, in, exec.CollectSink(&rows))
 					stopWatch()
 					if err := ctx.Err(); err != nil {
 						return err
@@ -463,7 +465,7 @@ func (st *Stage) SubmitStreamCtx(ctx context.Context, q *plan.Query, emit exec.R
 			st.retract(qq)
 			qq.myIn.Abort()
 		})
-		derr := drainStreamContained(st.env, q, qq.myIn, emit)
+		derr := qpipe.DrainStream(st.env, q, qq.myIn, emit)
 		stopWatch()
 		st.unregister(qq)
 		if err := ctx.Err(); err != nil {
@@ -488,35 +490,6 @@ func (st *Stage) unregister(qq *query) {
 	if st.hosts[qq.sig] == qq {
 		delete(st.hosts, qq.sig)
 	}
-}
-
-// drainContained drains a query's output on the submitter's goroutine,
-// converting a panic in the per-query tail (aggregation, sort) into
-// that query's error. The port is cancelled on the panic path so held
-// pages release and the pipeline is not backpressured by a dead reader.
-func drainContained(env *exec.Env, q *plan.Query, in qpipe.InPort) (rows []pages.Row, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows, err = nil, exec.RecoverPanic(env, r)
-			in.Cancel()
-		}
-	}()
-	return qpipe.Drain(env, q, in), nil
-}
-
-// drainStreamContained is drainContained with incremental delivery via
-// qpipe.DrainStream: plain projections emit one chunk per output page
-// while the pipeline still runs; blocking tails (aggregation, sort)
-// emit a single final chunk. Panic containment and the cancel-on-panic
-// port discipline are identical to drainContained.
-func drainStreamContained(env *exec.Env, q *plan.Query, in qpipe.InPort, emit exec.RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.RecoverPanic(env, r)
-			in.Cancel()
-		}
-	}()
-	return qpipe.DrainStream(env, q, in, emit)
 }
 
 // retract withdraws a cancelled query from the global plan: still-
@@ -1134,7 +1107,7 @@ func (st *Stage) distributorPart() {
 // been shown.
 func (st *Stage) detachStraggler(qq *query) {
 	st.mu.Lock()
-	var rem [][2]int
+	var unseen []comm.Arc
 	for i, a := range st.active {
 		if a != qq {
 			continue
@@ -1143,27 +1116,11 @@ func (st *Stage) detachStraggler(qq *query) {
 			if !qq.open[pi] {
 				continue
 			}
+			// A window with nothing shown yet sits at its entry and still
+			// needs the whole range; one whose entry came up again with
+			// pages shown has just completed.
 			p := &st.parts[pi]
-			entry, pos := qq.entry[pi], p.pos
-			switch {
-			case qq.seen[pi] == 0:
-				// Window open, nothing shown yet: the whole range remains.
-				if pos < p.hi {
-					rem = append(rem, [2]int{pos, p.hi})
-				}
-				if p.lo < pos {
-					rem = append(rem, [2]int{p.lo, pos})
-				}
-			case entry > pos:
-				rem = append(rem, [2]int{pos, entry})
-			case entry < pos:
-				rem = append(rem, [2]int{pos, p.hi})
-				if p.lo < entry {
-					rem = append(rem, [2]int{p.lo, entry})
-				}
-				// entry == pos with pages seen: the window just completed;
-				// nothing remains.
-			}
+			unseen = append(unseen, comm.Arc{Lo: p.lo, Hi: p.hi, From: p.pos, To: qq.entry[pi], Full: qq.seen[pi] == 0})
 			qq.open[pi] = false
 			p.mask.Clear(qq.bit)
 		}
@@ -1183,19 +1140,22 @@ func (st *Stage) detachStraggler(qq *query) {
 		st.settle(qq)
 	}
 	st.wg.Add(1)
-	go st.continueDetached(qq, rem)
+	go st.continueDetached(qq, unseen)
 }
 
 // continueDetached is a detached straggler's private continuation: it
 // waits for the query to settle (the shared pipeline's last claim on it
 // released, which completes the missed-page list), then re-derives
-// every undelivered fact page — the recorded misses plus the remaining
-// spans of the retracted windows — through private hash joins,
-// emitting into the same output port the shared plan was feeding. The
-// consumer observes one uninterrupted result stream with the same rows
-// it would have received; only the producer changed underneath it.
-// Blocking on the slow consumer's full port stalls only this goroutine.
-func (st *Stage) continueDetached(qq *query, rem [][2]int) {
+// every undelivered fact page — the recorded misses plus the unseen
+// arcs of the retracted windows — through the query-centric fact
+// pipeline with private hash joins, emitting into the same output port
+// the shared plan was feeding. The joined layout (fact columns, then
+// dimensions in plan order) is the one the shared distributor
+// assembles, so the consumer observes one uninterrupted result stream
+// with the same rows it would have received; only the producer changed
+// underneath it. Blocking on the slow consumer's full port stalls only
+// this goroutine.
+func (st *Stage) continueDetached(qq *query, unseen []comm.Arc) {
 	defer st.wg.Done()
 	// settle leaves a straggled query's port open: this defer is its
 	// sole closer.
@@ -1207,82 +1167,45 @@ func (st *Stage) continueDetached(qq *query, rem [][2]int) {
 	}()
 	<-qq.drained
 	qq.missMu.Lock()
-	missed := qq.missed
+	todo := qq.missed
 	qq.missed = nil
 	qq.missMu.Unlock()
-	if qq.cancelled.Load() {
+	for _, a := range unseen {
+		todo = slices.AppendSeq(todo, a.Pages())
+	}
+	if qq.cancelled.Load() || len(todo) == 0 {
 		return
 	}
-	fact, ok := st.env.Cat.FactTable()
-	if !ok || (len(missed) == 0 && len(rem) == 0) {
+	// The continuation outlives the submitter's context by design: a
+	// retraction shows up as qq.cancelled, checked above.
+	ctx := context.Background()
+	p, err := exec.NewFactPipeline(ctx, st.env, qq.plan)
+	if err != nil {
+		qq.fail(err)
 		return
 	}
-	// Private build sides, one per dimension in plan order — chained
-	// probes produce the fact-columns-then-dims joined layout, the same
-	// layout the shared distributor assembles.
-	joins := make([]*exec.BatchJoin, len(qq.plan.Dims))
-	kinds := vec.Kinds(fact.Schema)
-	for di := range qq.plan.Dims {
-		bj, err := exec.BuildBatchJoin(st.env, qq.plan.Dims[di])
-		if err != nil {
-			qq.fail(err)
-			return
-		}
-		kinds = bj.SetProbeKinds(kinds)
-		joins[di] = bj
-	}
-	var selBuf []int
-	var ps exec.ProbeScratch
-	derive := func(idx int) bool {
-		bat, err := st.readFactBatch(fact, idx)
-		if err != nil {
-			qq.fail(err)
-			return false
-		}
-		sel := vec.FullSel(bat.Len(), &selBuf)
-		if qq.factVec != nil {
-			sel = qq.factVec(bat, sel)
-		}
-		if len(sel) == 0 {
-			return true
-		}
-		if len(joins) == 0 {
-			// No dimensions: gather the selected fact rows out of the
-			// shared decoded batch into an owned output batch.
-			out := st.env.Recycle.Get(qq.outKinds, len(sel))
+	var s exec.FactScratch
+	emit := func(b *vec.Batch, sel []int) error {
+		out := b
+		if len(sel) == b.Len() && b.Pooled() {
+			// A probe output: the port takes over this reference.
+			b.Retain()
+		} else {
+			// Fact rows of a shared decoded batch: gather the selected
+			// ones into an owned output batch.
+			out = st.env.Recycle.Get(qq.outKinds, len(sel))
 			for c := range out.Cols {
-				bat.Cols[c].GatherInto(&out.Cols[c], sel)
+				b.Cols[c].GatherInto(&out.Cols[c], sel)
 			}
 			out.SetLen(len(sel))
-			qq.out.Emit(comm.NewBatchPage(out))
-			return true
 		}
-		cur := bat
-		for _, bj := range joins {
-			nxt := bj.Probe(st.env, cur, sel, &ps)
-			if cur != bat {
-				cur.Release()
-			}
-			cur = nxt
-			if cur.Len() == 0 {
-				cur.Release()
-				return true
-			}
-			sel = vec.FullSel(cur.Len(), &selBuf)
-		}
-		qq.out.Emit(comm.NewBatchPage(cur))
-		return true
+		qq.out.Emit(comm.NewBatchPage(out))
+		return nil
 	}
-	for _, idx := range missed {
-		if !derive(idx) {
+	for _, idx := range todo {
+		if err := p.Page(ctx, st.env, idx, &s, emit); err != nil {
+			qq.fail(err)
 			return
-		}
-	}
-	for _, span := range rem {
-		for i := span[0]; i < span[1]; i++ {
-			if !derive(i) {
-				return
-			}
 		}
 	}
 }

@@ -647,27 +647,76 @@ func TestFIFOClosed(t *testing.T) {
 	}
 }
 
-// TestFIFOStraggleBlocked pins StraggleBlocked's one-shot contract: it
-// detaches the consumer only while a producer waits in Put on the full
-// buffer, that Put returns false (the page never lands), and the
-// consumer resumes at the refused page after draining what it holds.
-func TestFIFOStraggleBlocked(t *testing.T) {
-	f := NewFIFO(1)
-	if f.StraggleBlocked(0) {
-		t.Fatal("StraggleBlocked detached with no producer blocked")
-	}
-	f.Put(&Page{Index: 4})
-	put := make(chan bool, 1)
-	go func() { put <- f.Put(&Page{Index: 5}) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for !f.StraggleBlocked(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("StraggleBlocked never saw the producer blocked in Put")
+// TestFIFOStraggleRequest pins RequestStraggle's contract. The Put
+// the producer is stuck on a full buffer with — already waiting, or the
+// next one, which then does not block — returns false without landing
+// its page, and the consumer resumes at that page after draining what
+// it holds. A consumer Get in between lapses the request, and a buffer
+// with room gets none.
+func TestFIFOStraggleRequest(t *testing.T) {
+	t.Run("Put already waiting", func(t *testing.T) {
+		f := NewFIFO(1)
+		f.Put(&Page{Index: 4})
+		put := make(chan bool, 1)
+		go func() { put <- f.Put(&Page{Index: 5}) }()
+		f.RequestStraggle(2)
+		checkStraggled(t, f, <-put)
+		f.RequestStraggle(2) // a closed FIFO takes no request
+	})
+	t.Run("next Put does not block", func(t *testing.T) {
+		f := NewFIFO(1)
+		f.Put(&Page{Index: 4})
+		f.RequestStraggle(2)
+		checkStraggled(t, f, f.Put(&Page{Index: 5}))
+	})
+	t.Run("Get lapses the request", func(t *testing.T) {
+		f := NewFIFO(1)
+		f.Put(&Page{Index: 4})
+		f.RequestStraggle(2)
+		if p, ok := f.Get(); !ok || p.Index != 4 {
+			t.Fatalf("Get = %v %v", p, ok)
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if ok := <-put; ok {
-		t.Error("the blocked Put landed its page after the detach")
+		f.Put(&Page{Index: 5})
+		put := make(chan bool, 1)
+		go func() { put <- f.Put(&Page{Index: 6}) }()
+		for _, want := range []int{5, 6} {
+			if p, ok := f.Get(); !ok || p.Index != want {
+				t.Fatalf("Get = %v %v, want page %d", p, ok, want)
+			}
+		}
+		if !<-put {
+			t.Error("a lapsed request detached the consumer")
+		}
+		if _, _, ok := f.Straggled(); ok {
+			t.Error("Straggled after a lapsed request")
+		}
+	})
+	t.Run("room in the buffer", func(t *testing.T) {
+		f := NewFIFO(2)
+		f.Put(&Page{Index: 1})
+		f.RequestStraggle(0)
+		if !f.Put(&Page{Index: 2}) {
+			t.Fatal("Put into a free slot was refused")
+		}
+		put := make(chan bool, 1)
+		go func() { put <- f.Put(&Page{Index: 3}) }()
+		for _, want := range []int{1, 2, 3} {
+			if p, ok := f.Get(); !ok || p.Index != want {
+				t.Fatalf("Get = %v %v, want page %d", p, ok, want)
+			}
+		}
+		if !<-put {
+			t.Error("a FIFO with room took a request")
+		}
+	})
+}
+
+// checkStraggled asserts f was detached at page 5 with entry 2 by the
+// Put that reported put, keeping its buffered page 4 readable.
+func checkStraggled(t *testing.T, f *FIFO, put bool) {
+	t.Helper()
+	if put {
+		t.Error("the stuck Put landed its page after the request")
 	}
 	if p, ok := f.Get(); !ok || p.Index != 4 {
 		t.Errorf("buffered page lost: %v %v", p, ok)
@@ -677,8 +726,5 @@ func TestFIFOStraggleBlocked(t *testing.T) {
 	}
 	if resume, entry, ok := f.Straggled(); !ok || resume != 5 || entry != 2 {
 		t.Errorf("Straggled = %d, %d, %v; want 5, 2, true", resume, entry, ok)
-	}
-	if f.StraggleBlocked(2) {
-		t.Error("StraggleBlocked detached a closed FIFO")
 	}
 }

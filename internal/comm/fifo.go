@@ -23,9 +23,9 @@ type FIFO struct {
 	resumeIdx int
 	entryIdx  int
 
-	// blocked is the page a producer is blocked putting into the full
-	// buffer, nil otherwise (StraggleBlocked).
-	blocked *Page
+	// reqEntry is a pending detach request's entry point, -1 when none
+	// (RequestStraggle).
+	reqEntry int
 }
 
 // DefaultFIFOPages bounds a FIFO at 8 pages (the paper uses a 256 KB
@@ -38,7 +38,7 @@ func NewFIFO(capacity int) *FIFO {
 	if capacity <= 0 {
 		capacity = DefaultFIFOPages
 	}
-	f := &FIFO{cap: capacity}
+	f := &FIFO{cap: capacity, reqEntry: -1}
 	f.nf = sync.NewCond(&f.mu)
 	f.ne = sync.NewCond(&f.mu)
 	return f
@@ -52,10 +52,12 @@ func (f *FIFO) Put(p *Page) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for len(f.buf) >= f.cap && !f.closed {
-		f.blocked = p
+		if f.reqEntry >= 0 {
+			f.straggleLocked(p.Index, f.reqEntry)
+			break
+		}
 		f.nf.Wait()
 	}
-	f.blocked = nil
 	if f.closed {
 		return false
 	}
@@ -69,6 +71,7 @@ func (f *FIFO) Put(p *Page) bool {
 func (f *FIFO) Get() (*Page, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.reqEntry = -1
 	for len(f.buf) == 0 && !f.closed {
 		f.ne.Wait()
 	}
@@ -117,19 +120,21 @@ func (f *FIFO) straggleLocked(resume, entry int) {
 	f.nf.Broadcast()
 }
 
-// StraggleBlocked is CloseStraggled for a consumer the producer is
-// blocked on: only while a Put waits on the full buffer does it close
-// the stream, with the page that Put holds as the resume point — that
-// page is never delivered, so the consumer re-derives it. Reports
-// whether it detached; a Put that already landed makes it a no-op.
-func (f *FIFO) StraggleBlocked(entry int) bool {
+// RequestStraggle asks the producer to force-detach this consumer, as
+// CloseStraggled does, at the Put it is stuck on: the Put waiting on
+// the full buffer — one already waiting, or the next one that would —
+// closes the stream with its own page as the resume point (that page is
+// never delivered, so the consumer re-derives it) and returns false.
+// The consumer's next Get lapses the request: a consumer that reads is
+// not stalled. A consumer with room in its buffer gets no request.
+func (f *FIFO) RequestStraggle(entry int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed || f.blocked == nil {
-		return false
+	if f.closed || len(f.buf) < f.cap {
+		return
 	}
-	f.straggleLocked(f.blocked.Index, entry)
-	return true
+	f.reqEntry = entry
+	f.nf.Broadcast()
 }
 
 // Straggled reports whether the producer force-detached this consumer,

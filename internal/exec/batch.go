@@ -655,114 +655,3 @@ func ProjectBatch(fns []expr.VecVal, b *vec.Batch, sel []int, dst []pages.Row) [
 	}
 	return dst
 }
-
-// Execute runs q batch-at-a-time with the query-centric volcano
-// pipeline: dimension build sides first, then the fact table is
-// scanned as column batches, filtered through vectorized kernels,
-// probed through each join with columnar gathers, and aggregated.
-// No state is shared with any concurrent query — the baseline model
-// the paper's sharing techniques are compared against. ExecuteRows is
-// the row-at-a-time reference implementation it replaced.
-//
-// When env.Workers() > 1 the fact pipeline runs morsel-parallel (see
-// morsel.go) with per-worker partial aggregates and a deterministic
-// merge; results are identical to the sequential path, which remains
-// the fallback for single-worker environments, tiny tables and
-// float-order-sensitive aggregations.
-func Execute(env *Env, q *plan.Query) ([]pages.Row, error) {
-	return ExecuteCtx(context.Background(), env, q)
-}
-
-// ExecuteCtx is Execute under a context: cancellation and deadlines
-// are checked cooperatively once per fact batch (and per dimension
-// page during the build phase), and a cancelled query returns
-// ctx.Err() with every checked-out pool batch released. Every error
-// return in the pipeline body below must release the batch it holds —
-// the invariant the poisoned error-injection tests in cancel_test.go
-// pin down.
-func ExecuteCtx(ctx context.Context, env *Env, q *plan.Query) (_ []pages.Row, err error) {
-	// Panic containment: a panicking kernel (or any other bug reached by
-	// this query) becomes a per-query *PanicError instead of taking the
-	// process down. Batches held mid-pipeline are released by the inner
-	// recover in the scan callback before the panic unwinds to here.
-	defer func() {
-		if r := recover(); r != nil {
-			err = RecoverPanic(env, r)
-		}
-	}()
-	joins := make([]*BatchJoin, len(q.Dims))
-	for i, d := range q.Dims {
-		j, err := BuildBatchJoinCtx(ctx, env, d)
-		if err != nil {
-			return nil, err
-		}
-		joins[i] = j
-	}
-
-	if w := executeParallelism(env, q); w > 1 {
-		return executeMorsels(ctx, env, q, joins, w)
-	}
-
-	var agg *Aggregator
-	var outFns []expr.VecVal
-	if q.HasAgg {
-		agg = NewAggregator(q, env.Col)
-	} else {
-		outFns = CompileOutputVals(q)
-	}
-	var plain []pages.Row
-
-	factVec := expr.CompileVecPred(q.FactPred)
-	var selBuf []int
-	var ps ProbeScratch
-	err = ScanTableBatchesCtx(ctx, env, q.Fact, func(b *vec.Batch) error {
-		// b starts as a shared decoded-cache batch (Release no-ops);
-		// every probe output is checked out of the batch pool and
-		// released as soon as the next pipeline stage has consumed it.
-		// Mid-pipeline error returns while b is a checked-out probe
-		// output must release it first — and so must a panic, hence the
-		// release-and-rethrow recover (the outer recover converts it).
-		defer func() {
-			if r := recover(); r != nil {
-				b.Release()
-				panic(r)
-			}
-		}()
-		sel := vec.FullSel(b.Len(), &selBuf)
-		if factVec != nil {
-			sel = factVec(b, sel)
-		}
-		for i := range joins {
-			if len(sel) == 0 {
-				b.Release()
-				return nil
-			}
-			if err := ctx.Err(); err != nil {
-				b.Release()
-				return err
-			}
-			joined := joins[i].Probe(env, b, sel, &ps)
-			b.Release()
-			b = joined
-			sel = vec.FullSel(b.Len(), &selBuf)
-		}
-		if agg != nil {
-			agg.AddBatch(b, sel)
-		} else {
-			plain = ProjectBatch(outFns, b, sel, plain)
-		}
-		b.Release()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var out []pages.Row
-	if agg != nil {
-		out = agg.Rows()
-	} else {
-		out = plain
-	}
-	return SortRows(q, env.Col, out), nil
-}

@@ -5,10 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sharedq/internal/expr"
 	"sharedq/internal/pages"
 	"sharedq/internal/plan"
-	"sharedq/internal/vec"
 )
 
 // Morsel-driven intra-query parallelism (after Leis et al.,
@@ -158,29 +156,15 @@ func stealInto(env *Env, claims []pageClaim, w int, stop *atomic.Bool) bool {
 	}
 }
 
-// executeMorsels runs q's fact pipeline across workers goroutines over
-// the pre-built join sides. Callers guarantee workers >= 2.
-// Cancellation is cooperative per morsel: each worker checks the
-// context before claiming the next morsel, so an abandoned query stops
-// within a morsel's pages per worker and the shared stop flag drains
-// the rest of the pool. Workers release every batch they check out on
-// all exits, and their pool shards drain back to the shared pool.
-func executeMorsels(ctx context.Context, env *Env, q *plan.Query, joins []*BatchJoin, workers int) ([]pages.Row, error) {
+// executeMorsels runs q's fact pipeline across workers goroutines.
+// Callers guarantee workers >= 2. A worker whose Page fails (a read
+// fault, a cancelled context, a panic) fails the query and sets the
+// shared stop flag, which the other workers check before each morsel;
+// every batch is released by Page, and the workers' pool shards drain
+// back to the shared pool.
+func executeMorsels(ctx context.Context, env *Env, q *plan.Query, p *FactPipeline, workers int) ([]pages.Row, error) {
 	fact := q.Fact
 	morselPages := env.MorselSize()
-
-	// Fix every join's output layout up front: workers probe the same
-	// BatchJoin concurrently and must never race on the lazy
-	// initialization inside Probe.
-	kinds := vec.Kinds(fact.Schema)
-	for _, j := range joins {
-		kinds = j.SetProbeKinds(kinds)
-	}
-
-	var outFns []expr.VecVal
-	if !q.HasAgg {
-		outFns = CompileOutputVals(q)
-	}
 	aggs := make([]*Aggregator, workers)
 	plains := make([][]pages.Row, fact.NumPages) // page -> projected rows, table order
 
@@ -225,31 +209,22 @@ func executeMorsels(ctx context.Context, env *Env, q *plan.Query, joins []*Batch
 			// the shard's free list holds its recycled batches; drain
 			// them back to the shared pool for the next query.
 			defer wenv.Local.Drain()
-			// Panic containment: a panicking worker fails the query (and
-			// stops its siblings via the shared stop flag) instead of
-			// taking the process down. The per-page recover below has
-			// already released the batch in flight when one unwinds here.
+			// Page contains the panics of the pipeline; this backstop
+			// covers the worker's own setup and claim bookkeeping.
 			defer func() {
 				if r := recover(); r != nil {
 					fail(RecoverPanic(env, r))
 				}
 			}()
-			var agg *Aggregator
-			if q.HasAgg {
-				agg = NewAggregator(q, env.Col)
-				aggs[w] = agg
-			}
-			factVec := expr.CompileVecPred(q.FactPred)
-			var selBuf []int
-			var ps ProbeScratch
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
+			// Each page's projection is one chunk, bucketed by page.
+			var pg int
+			sink := newResultSink(q, env.Col, func(rows []pages.Row) error {
+				plains[pg] = rows
+				return nil
+			}, true)
+			aggs[w] = sink.agg
+			var s FactScratch
+			for !stop.Load() {
 				lo, hi, ok := claims[w].take(morselPages)
 				if !ok {
 					if !stealInto(env, claims, w, &stop) {
@@ -257,52 +232,13 @@ func executeMorsels(ctx context.Context, env *Env, q *plan.Query, joins []*Batch
 					}
 					continue
 				}
-				for pg := lo; pg < hi; pg++ {
-					var plain []pages.Row
-					if agg != nil {
-						agg.SetEpoch(int32(pg))
+				for pg = lo; pg < hi; pg++ {
+					if sink.agg != nil {
+						sink.agg.SetEpoch(int32(pg))
 					}
-					err := func() error {
-						b, err := ReadTableBatch(&wenv, fact, pg)
-						if err != nil {
-							return err
-						}
-						// Release the batch in flight when a kernel
-						// panics, then let the worker recover convert it.
-						defer func() {
-							if r := recover(); r != nil {
-								b.Release()
-								panic(r)
-							}
-						}()
-						sel := vec.FullSel(b.Len(), &selBuf)
-						if factVec != nil {
-							sel = factVec(b, sel)
-						}
-						for i := range joins {
-							if len(sel) == 0 {
-								b.Release()
-								return nil
-							}
-							joined := joins[i].Probe(&wenv, b, sel, &ps)
-							b.Release()
-							b = joined
-							sel = vec.FullSel(b.Len(), &selBuf)
-						}
-						if agg != nil {
-							agg.AddBatch(b, sel)
-						} else {
-							plain = ProjectBatch(outFns, b, sel, plain)
-						}
-						b.Release()
-						return nil
-					}()
-					if err != nil {
+					if err := p.Page(ctx, &wenv, pg, &s, sink.Batch); err != nil {
 						fail(err)
 						return
-					}
-					if agg == nil {
-						plains[pg] = plain
 					}
 				}
 			}

@@ -304,13 +304,13 @@ func (e *Engine) SubmitStreamCtx(ctx context.Context, q *plan.Query, emit exec.R
 	// concurrent with the drain below and a no-op once the drain ends.
 	stopWatch := context.AfterFunc(ctx, port.Abort)
 	var rows []pages.Row
+	sink := emit
 	if host != nil {
 		// A result-sharing host must materialize: satellites that attach
 		// while this query runs reuse the complete result set.
-		rows, err = e.drainRecover(q, port)
-	} else {
-		err = e.drainStreamRecover(q, port, emit)
+		sink = exec.CollectSink(&rows)
 	}
+	err = DrainStream(e.env, q, port, sink)
 	stopWatch()
 	if cerr := ctx.Err(); cerr != nil {
 		if host != nil {
@@ -332,35 +332,6 @@ func (e *Engine) SubmitStreamCtx(ctx context.Context, q *plan.Query, emit exec.R
 		}
 	}
 	return err
-}
-
-// drainStreamRecover is drainRecover for the streaming path: chunks
-// flow to emit as pages drain, and a panic in the per-query tail (or
-// in the sink) becomes this query's error with the port cancelled so
-// held pages release and producers unblock.
-func (e *Engine) drainStreamRecover(q *plan.Query, port InPort, emit exec.RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.RecoverPanic(e.env, r)
-			port.Cancel()
-		}
-	}()
-	return DrainStream(e.env, q, port, emit)
-}
-
-// drainRecover drains the pipeline's final port on the submitter's
-// goroutine, converting a panic in the per-query tail (predicate,
-// aggregation, sort kernels) into this query's error. The port is
-// cancelled on the panic path so held pages release and producers
-// unblock.
-func (e *Engine) drainRecover(q *plan.Query, port InPort) (rows []pages.Row, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.RecoverPanic(e.env, r)
-			port.Cancel()
-		}
-	}()
-	return e.drainFinal(q, port), nil
 }
 
 // Close shuts the engine down gracefully: new submissions are refused
@@ -649,28 +620,33 @@ func (e *Engine) unregister(h *joinHost) {
 	}
 }
 
-// drainFinal consumes the pipeline's last port through Drain.
-func (e *Engine) drainFinal(q *plan.Query, in InPort) []pages.Row {
-	return Drain(e.env, q, in)
-}
-
-// DrainStream consumes a port like Drain, delivering result rows to
-// emit incrementally: a plain projection (no aggregate, no ORDER BY,
-// no LIMIT) emits one chunk per drained page, so rows reach the sink
-// while upstream packets are still producing and no full result set is
-// buffered anywhere. Aggregations and sorted or limited queries are
-// inherently blocking and emit a single final chunk. A sink error
-// cancels the port (detaching from shared producers) and is returned.
-// It is shared by the QPipe engine and the CJOIN stage, the same way
-// Drain is.
-func DrainStream(env *exec.Env, q *plan.Query, in InPort, emit exec.RowSink) error {
-	if q.HasAgg || len(q.OrderBy) > 0 || q.Limit >= 0 {
-		return emit(Drain(env, q, in))
-	}
-	outFns := exec.CompileOutputVals(q)
+// DrainStream consumes a port delivering joined (or raw, for
+// single-table plans) pages and applies the per-query tail through an
+// exec.ResultSink: fact-predicate filtering for plans with no joins
+// (otherwise the predicate is applied upstream), aggregation or
+// projection, sort and limit. Column-batch pages flow through the
+// vectorized kernels; row pages through the row-at-a-time operators.
+// A plain projection (no aggregate, no ORDER BY, no LIMIT) emits one
+// chunk per drained page, so rows reach the sink while upstream packets
+// are still producing and no full result set is buffered anywhere;
+// aggregations and sorted or limited queries are inherently blocking
+// and emit a single final chunk. A sink error cancels the port
+// (detaching from shared producers) and is returned, and so does a
+// panic in the tail or in emit, as a per-query *exec.PanicError. It is
+// shared by the QPipe engine and the CJOIN stage (whose subsequent
+// operators are query-centric, §3.2); collecting the whole result is
+// DrainStream into an exec.CollectSink.
+func DrainStream(env *exec.Env, q *plan.Query, in InPort, emit exec.RowSink) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = exec.RecoverPanic(env, r)
+			in.Cancel()
+		}
+	}()
+	sink := exec.NewResultSink(q, env.Col, emit)
 	var factFn expr.Pred
 	var factVec expr.VecPred
-	if len(q.Dims) == 0 { // otherwise the predicate is applied upstream
+	if len(q.Dims) == 0 {
 		factFn = expr.CompilePred(q.FactPred)
 		factVec = expr.CompileVecPred(q.FactPred)
 	}
@@ -678,9 +654,9 @@ func DrainStream(env *exec.Env, q *plan.Query, in InPort, emit exec.RowSink) err
 	for {
 		p, ok := in.Next()
 		if !ok {
-			return nil
+			return sink.Close()
 		}
-		var chunk []pages.Row
+		var err error
 		if b := p.Batch; b != nil {
 			sel := vec.FullSel(b.Len(), &selBuf)
 			if factVec != nil {
@@ -689,7 +665,7 @@ func DrainStream(env *exec.Env, q *plan.Query, in InPort, emit exec.RowSink) err
 				env.Col.AddSince(metrics.Misc, t0)
 			}
 			if len(sel) > 0 {
-				chunk = exec.ProjectBatch(outFns, b, sel, nil)
+				err = sink.Batch(b, sel)
 			}
 		} else {
 			rows := p.Rows
@@ -699,78 +675,12 @@ func DrainStream(env *exec.Env, q *plan.Query, in InPort, emit exec.RowSink) err
 				stop()
 			}
 			if len(rows) > 0 {
-				chunk = exec.Project(q, rows)
+				err = sink.Rows(rows)
 			}
 		}
-		if len(chunk) == 0 {
-			continue
-		}
-		if err := emit(chunk); err != nil {
+		if err != nil {
 			in.Cancel()
 			return err
 		}
 	}
-}
-
-// Drain consumes a port delivering joined (or raw, for single-table
-// plans) pages and applies the per-query tail: fact-predicate filtering
-// for plans with no joins, aggregation or projection, sort and limit.
-// It is shared by the QPipe engine and the CJOIN stage (whose
-// subsequent operators are query-centric, §3.2). Column-batch pages
-// flow through the vectorized kernels; row pages through the
-// row-at-a-time operators.
-func Drain(env *exec.Env, q *plan.Query, in InPort) []pages.Row {
-	var agg *exec.Aggregator
-	var outFns []expr.VecVal
-	if q.HasAgg {
-		agg = exec.NewAggregator(q, env.Col)
-	} else {
-		outFns = exec.CompileOutputVals(q)
-	}
-	var plain []pages.Row
-	var factFn expr.Pred
-	var factVec expr.VecPred
-	if len(q.Dims) == 0 { // otherwise the predicate is applied upstream
-		factFn = expr.CompilePred(q.FactPred)
-		factVec = expr.CompileVecPred(q.FactPred)
-	}
-	var selBuf []int
-	for {
-		p, ok := in.Next()
-		if !ok {
-			break
-		}
-		if b := p.Batch; b != nil {
-			sel := vec.FullSel(b.Len(), &selBuf)
-			if factVec != nil {
-				t0 := time.Now()
-				sel = factVec(b, sel)
-				env.Col.AddSince(metrics.Misc, t0)
-			}
-			if agg != nil {
-				agg.AddBatch(b, sel)
-			} else {
-				plain = exec.ProjectBatch(outFns, b, sel, plain)
-			}
-			continue
-		}
-		rows := p.Rows
-		if factFn != nil {
-			stop := env.Col.Timer(metrics.Misc)
-			rows = exec.FilterRowsPred(rows, factFn)
-			stop()
-		}
-		if agg != nil {
-			agg.Add(rows)
-		} else {
-			plain = append(plain, exec.Project(q, rows)...)
-		}
-	}
-	var out []pages.Row
-	if agg != nil {
-		out = agg.Rows()
-	} else {
-		out = plain
-	}
-	return exec.SortRows(q, env.Col, out)
 }

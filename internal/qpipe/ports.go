@@ -224,18 +224,14 @@ func (fo *fanout) AddReader(fromStart bool) InPort {
 		// The straggler policy runs per Emit, but an Emit blocked on a
 		// lagging reader's full FIFO runs no policy until that reader
 		// reads again: a reader attaching now would wait out the
-		// laggard. Against the new, empty reader the blocked one lags
-		// by at least cap+maxLag pages, so detach it here, resuming at
-		// the page the blocked Put holds. (A reader attaching in the
-		// instant between an Emit's bookkeeping and its Put blocking
-		// still waits for the laggard, as before, unless another
-		// reader attaches.)
+		// laggard. Against the new, empty reader a full FIFO lags by its
+		// whole capacity, so ask the producer to detach such a reader at
+		// the Put it is stuck on — waiting already or on its way —
+		// resuming at the page that Put holds. The refused Put reports
+		// the detach back to Emit (noteDetached).
 		for _, o := range fo.subs {
-			if !o.done && o.entry >= 0 && o.f.StraggleBlocked(o.entry) {
-				o.done = true
-				if fo.straggled != nil {
-					fo.straggled()
-				}
+			if !o.done && o.entry >= 0 {
+				o.f.RequestStraggle(o.entry)
 			}
 		}
 	}
@@ -333,6 +329,25 @@ func (fo *fanout) Emit(p *comm.Page) {
 		}
 		if !ok {
 			pages[i].Release() // consumer went away mid-emit
+			fo.noteDetached(s)
+		}
+	}
+}
+
+// noteDetached marks a reader whose FIFO refused a page because its Put
+// honoured a straggle request (see AddReader) as detached, counting it
+// like a policy detach. A reader already marked done — detached by the
+// policy, finished or closed — is left as is.
+func (fo *fanout) noteDetached(s *fanSub) {
+	if _, _, ok := s.f.Straggled(); !ok {
+		return
+	}
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	if !s.done {
+		s.done = true
+		if fo.straggled != nil {
+			fo.straggled()
 		}
 	}
 }
@@ -438,6 +453,7 @@ func (fo *fanout) EmitGrow(p *comm.Page, extra int) bool {
 	for i, s := range dests {
 		if !s.f.PutGrow(pages[i], extra) && !s.f.Put(pages[i]) {
 			pages[i].Release()
+			fo.noteDetached(s)
 		}
 	}
 	return true

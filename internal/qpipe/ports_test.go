@@ -208,11 +208,11 @@ func TestFanoutActiveReaders(t *testing.T) {
 // regression for push ports: with the straggler policy on, the producer
 // blocks delivering to a lone reader that stopped reading, and the
 // policy, which runs per Emit, cannot run again. A reader attaching
-// then must not wait out the laggard: the attach force-detaches it,
-// resuming at the page the blocked Emit held, and the producer moves
-// on. (A reader attaching just before the producer blocks is caught
-// by the next Emit's policy instead; either way the laggard resumes at
-// page 3. The test attaches readers until the detach lands.)
+// then must not wait out the laggard: the attach asks the producer to
+// detach it at the Put it is stuck on, resuming at the page that Put
+// held, and the producer moves on. (Whether the Put is already waiting
+// or about to, the laggard resumes at page 3. The test attaches readers
+// until the detach lands.)
 func TestFanoutAttachDetachesBlockedLaggard(t *testing.T) {
 	pc := PortConfig{Model: CommFIFO, FIFOCap: 1, MaxLag: 2, Col: &metrics.Collector{}}
 	out := pc.NewOutPort()

@@ -242,14 +242,9 @@ func (st *ScanStage) continueScan(t *catalog.Table, resume, entry int, out OutPo
 		}
 	}()
 	// A detached reader has received 0..N-1 pages of its pass, so
-	// resume == entry means it received nothing and the continuation is
-	// the full table — never an empty range.
-	n := (entry - resume + t.NumPages) % t.NumPages
-	if n == 0 {
-		n = t.NumPages
-	}
-	i := resume
-	for ; n > 0; n, i = n-1, (i+1)%t.NumPages {
+	// resume == entry means it received nothing: the whole table.
+	unseen := comm.Arc{Lo: 0, Hi: t.NumPages, From: resume, To: entry, Full: true}
+	for i := range unseen.Pages() {
 		b, err := st.readPage(t, i)
 		if err != nil {
 			se.fail(err)
