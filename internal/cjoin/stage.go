@@ -1188,11 +1188,11 @@ func (st *Stage) continueDetached(qq *query, unseen []comm.Arc) {
 	emit := func(b *vec.Batch, sel []int) error {
 		out := b
 		if len(sel) == b.Len() && b.Pooled() {
-			// A probe output: the port takes over this reference.
+			// A pooled probe output: the port takes over a reference.
 			b.Retain()
 		} else {
-			// Fact rows of a shared decoded batch: gather the selected
-			// ones into an owned output batch.
+			// Rows of a batch nobody owns (a shared decoded fact page):
+			// gather the selected ones into an owned output batch.
 			out = st.env.Recycle.Get(qq.outKinds, len(sel))
 			for c := range out.Cols {
 				b.Cols[c].GatherInto(&out.Cols[c], sel)

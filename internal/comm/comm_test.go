@@ -3,6 +3,8 @@ package comm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -654,11 +656,17 @@ func TestFIFOClosed(t *testing.T) {
 // it holds. A consumer Get in between lapses the request, and a buffer
 // with room gets none.
 func TestFIFOStraggleRequest(t *testing.T) {
+	pending := func(f *FIFO) bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.reqEntry >= 0
+	}
 	t.Run("Put already waiting", func(t *testing.T) {
 		f := NewFIFO(1)
 		f.Put(&Page{Index: 4})
 		put := make(chan bool, 1)
 		go func() { put <- f.Put(&Page{Index: 5}) }()
+		waitParkedInPut(t)
 		f.RequestStraggle(2)
 		checkStraggled(t, f, <-put)
 		f.RequestStraggle(2) // a closed FIFO takes no request
@@ -673,8 +681,14 @@ func TestFIFOStraggleRequest(t *testing.T) {
 		f := NewFIFO(1)
 		f.Put(&Page{Index: 4})
 		f.RequestStraggle(2)
+		if !pending(f) {
+			t.Fatal("no request left on a full buffer")
+		}
 		if p, ok := f.Get(); !ok || p.Index != 4 {
 			t.Fatalf("Get = %v %v", p, ok)
+		}
+		if pending(f) {
+			t.Fatal("Get did not lapse the request")
 		}
 		f.Put(&Page{Index: 5})
 		put := make(chan bool, 1)
@@ -695,6 +709,9 @@ func TestFIFOStraggleRequest(t *testing.T) {
 		f := NewFIFO(2)
 		f.Put(&Page{Index: 1})
 		f.RequestStraggle(0)
+		if pending(f) {
+			t.Fatal("request left on a buffer with room")
+		}
 		if !f.Put(&Page{Index: 2}) {
 			t.Fatal("Put into a free slot was refused")
 		}
@@ -709,6 +726,26 @@ func TestFIFOStraggleRequest(t *testing.T) {
 			t.Error("a FIFO with room took a request")
 		}
 	})
+}
+
+// waitParkedInPut waits until a goroutine is parked in FIFO.Put's wait
+// on a full buffer.
+func waitParkedInPut(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "comm.(*FIFO).Put") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Put never blocked on the full buffer")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // checkStraggled asserts f was detached at page 5 with entry 2 by the

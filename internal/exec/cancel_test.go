@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,6 +221,46 @@ func TestExecuteCtxCancellation(t *testing.T) {
 				if n := env.Recycle.Outstanding(); n != 0 {
 					t.Fatalf("iteration %d: %d pool batches leaked after cancellation", i, n)
 				}
+			}
+		})
+	}
+}
+
+// TestExecuteCtxStopsWithinOnePage pins the fact pipeline's one
+// cancellation point: once the context is cancelled mid-scan, no
+// goroutine starts another fact page, even inside a morsel. The first
+// fact read cancels; a sequential run reads nothing after it, and each
+// other morsel worker at most the page it had already passed the check
+// for. Morsels of half the table make a per-morsel check read on.
+func TestExecuteCtxStopsWithinOnePage(t *testing.T) {
+	env := pooledEnv(t)
+	q := starPlan(t, env)
+	if q.Fact.NumPages < 8 {
+		t.Fatalf("fact table has %d pages; the test needs several per worker", q.Fact.NumPages)
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var reads atomic.Int32
+			wenv := *env
+			wenv.Parallelism = workers
+			wenv.MorselPages = q.Fact.NumPages / 2
+			workers := executeParallelism(&wenv, q)
+			wenv.ReadFault = func(table string, _ int) error {
+				if table == q.Fact.Name && reads.Add(1) == 1 {
+					cancel()
+				}
+				return nil
+			}
+			if _, err := ExecuteCtx(ctx, &wenv, q); !errors.Is(err, context.Canceled) {
+				t.Fatalf("ExecuteCtx = %v, want context.Canceled", err)
+			}
+			if after := int(reads.Load()) - 1; after > workers-1 {
+				t.Errorf("%d fact pages read after the cancel, want at most %d", after, workers-1)
+			}
+			if n := env.Recycle.Outstanding(); n != 0 {
+				t.Fatalf("%d pool batches leaked", n)
 			}
 		})
 	}

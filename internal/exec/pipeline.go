@@ -15,9 +15,9 @@ import (
 // as a column batch, filtered through the query's vectorized fact
 // predicate, probed through each dimension join in plan order with
 // columnar gathers, and handed to a FactSink. Every executor of a whole
-// query runs this one chain — the sequential and streaming drivers, the
-// morsel workers, and CJOIN's detached-straggler continuation — and
-// these rules hold for all of them:
+// query runs this one chain — the sequential executor (streaming or
+// collecting), the morsel workers, and CJOIN's detached-straggler
+// continuation — and these rules hold for all of them:
 //
 //   - Release. The page read is a shared decoded-cache batch (its
 //     Release is a no-op). Every probe output is checked out of the

@@ -656,7 +656,6 @@ func DrainStream(env *exec.Env, q *plan.Query, in InPort, emit exec.RowSink) (er
 		if !ok {
 			return sink.Close()
 		}
-		var err error
 		if b := p.Batch; b != nil {
 			sel := vec.FullSel(b.Len(), &selBuf)
 			if factVec != nil {
